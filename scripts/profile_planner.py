@@ -82,6 +82,11 @@ def main(argv=None) -> int:
         f"{stats.batch_dedup_hits} dedup / {stats.batch_pruned} pruned / "
         f"{stats.batch_fallbacks} fallbacks"
     )
+    print(
+        f"events replayed {stats.events_replayed}, reused "
+        f"{stats.events_reused}, replays ended by suffix memo "
+        f"{stats.suffix_hits}"
+    )
 
     sorts = (args.sort,) if args.sort else ("cumulative", "tottime")
     for sort in sorts:

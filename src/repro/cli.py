@@ -197,8 +197,9 @@ def _print_stats(result) -> None:
         ("incremental simulations", f"{stats.incremental_sims:,}"),
         ("base rebuilds", f"{stats.rebases:,}"),
         ("events simulated", f"{stats.events_full + stats.events_replayed:,}"),
-        ("events reused via prefix", f"{stats.events_reused:,} "
-                                     f"({stats.prefix_reuse_fraction:.1%})"),
+        ("events reused (prefix + memo)", f"{stats.events_reused:,} "
+                                          f"({stats.prefix_reuse_fraction:.1%})"),
+        ("replays ended by suffix memo", f"{stats.suffix_hits:,}"),
     ]
     print(render_table(["counter", "value"], rows))
     print()
@@ -268,7 +269,24 @@ def _print_strategy_table(job: JobConfig, strategy) -> None:
         print("No tensor benefits from compression on this job.")
 
 
+#: ``plan`` flags the robust selector does not implement, as
+#: (argparse dest, flag).  With ``--robust`` each is refused instead of
+#: silently ignored.
+_NOT_WITH_ROBUST = (
+    ("fusion", "--fusion"),
+    ("save", "--save"),
+    ("load", "--load"),
+    ("ratios", "--ratios"),
+    ("error_budget", "--error-budget"),
+    ("stats", "--stats"),
+)
+
+
 def cmd_plan_robust(args: argparse.Namespace) -> int:
+    for dest, flag in _NOT_WITH_ROBUST:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            raise CLIConfigError(f"{flag} is not supported with --robust")
     job = _build_job(args)
     ensemble = ensemble_by_name(args.ensemble)
     result = robust_select(

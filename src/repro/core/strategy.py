@@ -276,7 +276,13 @@ class EvaluatorStats:
         timelines: full timeline simulations (stage records materialized).
         events_full: completion events processed by full/base simulations.
         events_replayed: completion events processed during swap replays.
-        events_reused: completion events skipped via checkpoint restore.
+        events_reused: completion events of swap replays that were not
+            processed: the prefix skipped by the checkpoint restore, plus
+            the tail skipped by a suffix-memo hit.  For every swap that
+            replays, replayed + reused grows by the trial's task count.
+        suffix_hits: swap replays ended early by the incremental
+            simulator's suffix memo (a state the base run or an earlier
+            replay of the same base already reached).
         batch_calls: ``price_options`` invocations (one per tensor whose
             candidate set was priced as a batch).
         batch_candidates: candidates submitted across all batch calls.
@@ -309,6 +315,7 @@ class EvaluatorStats:
     events_full: int = 0
     events_replayed: int = 0
     events_reused: int = 0
+    suffix_hits: int = 0
     batch_calls: int = 0
     batch_candidates: int = 0
     batch_pruned: int = 0
@@ -359,7 +366,8 @@ class EvaluatorStats:
     @property
     def prefix_reuse_fraction(self) -> float:
         """Of the events a naive replay would simulate during swaps, the
-        fraction skipped by resuming from a checkpoint."""
+        fraction skipped by resuming from a checkpoint or by a
+        suffix-memo hit."""
         denominator = self.events_replayed + self.events_reused
         return self.events_reused / denominator if denominator else 0.0
 

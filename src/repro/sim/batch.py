@@ -64,6 +64,7 @@ from repro.sim.incremental import (
     _MAX_STAGES,
     _TID_BITS,
     _TID_MASK,
+    _state_key,
 )
 
 #: A candidate replacement chain in the evaluator's pre-flattened form:
@@ -139,10 +140,12 @@ def _record_replay(
     """Scalar replay of one swap that records its dispatch order.
 
     Semantically ``sim.swap_chains_flat([(index, vres, vdur)])`` (same
-    scratch-task mechanics, checkpoint restore, reconvergence early-exit
-    and stats accounting), except the resume point is pinned to the
-    chain's compute completion — the batch walk's uniform divergence
-    instant — and every dispatch is recorded as ``(tid, ready_time)``.
+    scratch-task mechanics, checkpoint restore and stats accounting),
+    except the resume point is pinned to the chain's compute completion
+    — the batch walk's uniform divergence instant — every dispatch is
+    recorded as ``(tid, ready_time)``, and of the suffix memo only its
+    base-checkpoint entries end the replay (reconvergence), while
+    nothing is recorded into it.
 
     Returns ``(makespan, dispatch order, reconverged)``; when the replay
     reconverged with the base run, the order only covers dispatches up
@@ -236,18 +239,8 @@ def _record_replay(
                         and len(ready2) == len(bready[2])
                         and len(ready3) == len(bready[3])
                     ):
-                        key = sim._state_key(ci)
-                        kready = key[1]
-                        if (
-                            frozenset(
-                                (end, packed & tid_mask)
-                                for end, packed in events
-                            )
-                            == key[0]
-                            and frozenset(ready3) == kready[3]
-                            and frozenset(ready2) == kready[2]
-                            and frozenset(ready1) == kready[1]
-                            and frozenset(ready0) == kready[0]
+                        if _state_key(events, ready) == _state_key(
+                            bcp[2], bready
                         ):
                             if sim.stats is not None:
                                 sim.stats.events_replayed += (
@@ -256,6 +249,7 @@ def _record_replay(
                                 sim.stats.events_reused += cp_events_done + (
                                     sim.base_events - bcp[5]
                                 )
+                                sim.stats.suffix_hits += 1
                             return sim.base_makespan, order, True
                     ci += 1
                 next_cp = cp_times[ci] if ci < n_cps else _INF

@@ -24,12 +24,20 @@ operations in the same order as a from-scratch simulation of the trial
 chains, so the returned makespan is bit-identical to
 :func:`repro.sim.engine.simulate_makespan` — the hypothesis property
 test in ``tests/sim/test_incremental.py`` proves the equivalence.
+
+Replays also end early through a *suffix memo* of scheduler states.
+Once every swapped stage of a trial has retired, the rest of its run
+depends only on the scheduler state and the base task graph.  So a
+state that the base run or an earlier replay of the same base already
+passed through has a known final makespan, and the replay stops there
+(DESIGN.md §5.2).
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+import itertools
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import ScheduledStage, Timeline
@@ -51,6 +59,61 @@ _TID_MASK = (1 << _TID_BITS) - 1
 _MAX_STAGES = 1 << _K_BITS
 _MAX_TENSOR = 1 << 20
 
+#: A replay records a suffix-memo state every this many checkpoint
+#: strides of completions, plus the first state after its swapped stages
+#: retire.  Sparse recording costs few hits — a replay that joins a
+#: recorded trajectory meets its next recorded state within one interval
+#: — and keeps the memo small (peak RSS on deep models).
+_MEMO_STRIDES = 8
+
+#: Suffix-memo entry: (:func:`_state_sig`, :func:`_state_key`, final
+#: makespan, completions still to come after the state).  The key of a
+#: base-checkpoint entry is ``None``: it is built from the checkpoint
+#: only when a signature matches, since sorting every snapshot up
+#: front doubled the cost of a rebase.
+_MemoEntry = Tuple[int, Optional[tuple], float, int]
+
+
+def _state_key(events: list, ready: Sequence[list]) -> tuple:
+    """Order-insensitive form of a scheduler state, as two compact flat
+    tuples: the sorted in-flight ``(end, tid)`` pairs and the sorted
+    ``(ready_time, rank)`` entries of all four ready heaps.
+
+    Dispatch sequence numbers are dropped on purpose: they only break
+    ties between same-instant completions, which are all drained before
+    any dispatch, so they cannot influence scheduling.  The heaps can
+    share one tuple because a rank names its task, and a base task's
+    resource is fixed.  Flattening keeps the key to one object per
+    part: the ready-time floats and rank ints are shared with the heap
+    entries rather than copied.
+    """
+    return (
+        tuple(itertools.chain.from_iterable(
+            sorted([(end, packed & _TID_MASK) for end, packed in events])
+        )),
+        tuple(itertools.chain.from_iterable(
+            sorted(ready[0] + ready[1] + ready[2] + ready[3])
+        )),
+    )
+
+
+def _state_sig(free: List[int], ready: Sequence[list]) -> int:
+    """O(1) prefilter for :func:`_state_key`: a hash of the free counts
+    (which also fix the in-flight count) and each ready heap's head (the
+    heap minimum, so it does not depend on push order).  Equal states
+    have equal signatures; a collision only costs a key comparison."""
+    r0, r1, r2, r3 = ready
+    return hash((
+        free[0],
+        free[1],
+        free[2],
+        free[3],
+        r0[0] if r0 else None,
+        r1[0] if r1 else None,
+        r2[0] if r2 else None,
+        r3[0] if r3 else None,
+    ))
+
 
 class IncrementalSimulator:
     """Replays one base simulation, then prices chain swaps by suffix.
@@ -65,9 +128,11 @@ class IncrementalSimulator:
             defaults to ``max(1, num_tasks // 128)`` so snapshot copying
             stays a small fraction of the base simulation cost while a
             restore overshoots the ideal resume point by <1% of events.
-        stats: optional object with ``events_full``, ``events_replayed``
-            and ``events_reused`` counters (e.g. ``EvaluatorStats``) that
-            the simulator increments in place.
+            Replays record suffix-memo states every
+            :data:`_MEMO_STRIDES` strides.
+        stats: optional object with ``events_full``, ``events_replayed``,
+            ``events_reused`` and ``suffix_hits`` counters (e.g.
+            ``EvaluatorStats``) that the simulator increments in place.
     """
 
     def __init__(
@@ -196,12 +261,26 @@ class IncrementalSimulator:
 
         self._cp_times: List[float] = []
         self._checkpoints: List[_Checkpoint] = []
-        #: Lazily built order-insensitive forms of each checkpoint's
-        #: state, for the reconvergence early-exit of :meth:`_replay`.
-        self._cp_state_keys: List[Optional[tuple]] = []
         if checkpoint_stride is None:
             checkpoint_stride = max(1, self._num_tasks // 128)
-        self.base_makespan = self._run_base(max(1, checkpoint_stride))
+        stride = max(1, checkpoint_stride)
+        self._memo_interval = _MEMO_STRIDES * stride
+        #: Suffix memo: instant -> entries of the states seen then.  It
+        #: holds only states reached with every swapped stage retired,
+        #: which evolve on the base task graph alone; it is seeded with
+        #: the base checkpoints, grown by every replay, and lives as
+        #: long as this base.
+        self._memo: Dict[float, List[_MemoEntry]] = {}
+        self.base_makespan = self._run_base(stride)
+        for cp_time, (cp_free, cp_ready, cp_events, _, _, done) in zip(
+            self._cp_times, self._checkpoints
+        ):
+            self._memo[cp_time] = [(
+                _state_sig(cp_free, cp_ready),
+                None,
+                self.base_makespan,
+                self.base_events - done,
+            )]
 
     # -- base simulation -------------------------------------------------
 
@@ -263,7 +342,6 @@ class IncrementalSimulator:
                         events_done,
                     )
                 )
-                self._cp_state_keys.append(None)
                 need_cp = False
                 last_cp_events = events_done
             prev_now = now
@@ -415,7 +493,9 @@ class IncrementalSimulator:
         seen = set()
         saved: List[Tuple[int, int, int, int, tuple]] = []
         t_influence = float("inf")
-        guard: Optional[set] = set() if len(replacements) > 1 else None
+        # Swapped stages (each ``tlast`` and every scratch task) that
+        # have not retired yet; the suffix memo is off until it drains.
+        guard = set()
         try:
             for pos, new_res, new_dur in replacements:
                 if not 0 <= pos < self._num_chains:
@@ -461,8 +541,7 @@ class IncrementalSimulator:
                         post[tlast],
                     )
                 )
-                if guard is not None:
-                    guard.add(tlast)
+                guard.add(tlast)
                 end_last = self._end_time[tlast]
                 if end_last < t_influence:
                     t_influence = end_last
@@ -470,6 +549,7 @@ class IncrementalSimulator:
                 start_id = len(durations)
                 if start_id + n_new > _TID_MASK:
                     raise ValueError("too many scratch tasks for the rank encoding")
+                guard.update(range(start_id, start_id + n_new))
                 if n_new:
                     durations += new_dur[m:]
                     resources += new_res[m:]
@@ -535,35 +615,14 @@ class IncrementalSimulator:
                 s1_rank[tlast] = old_rank
                 post[tlast] = old_post
 
-    def _state_key(self, ci: int) -> tuple:
-        """Order-insensitive form of checkpoint ``ci``'s scheduler state.
-
-        Dispatch sequence numbers are dropped on purpose: they only
-        break ties between same-instant completions, which are all
-        drained before any dispatch, so they cannot influence scheduling.
-        """
-        key = self._cp_state_keys[ci]
-        if key is None:
-            cp_free, cp_ready, cp_events = self._checkpoints[ci][:3]
-            key = (
-                frozenset(
-                    (end, packed & _TID_MASK) for end, packed in cp_events
-                ),
-                tuple(frozenset(h) for h in cp_ready),
-            )
-            self._cp_state_keys[ci] = key
-        return key
-
-    def _replay(self, ci: int, guard: Optional[set]) -> float:
+    def _replay(self, ci: int, guard: set) -> float:
         durations = self._durations
         post = self._post
+        memo = self._memo
         heappush = heapq.heappush
         heappop = heapq.heappop
         tid_mask = _TID_MASK
         tid_bits = _TID_BITS
-        cp_times = self._cp_times
-        n_cps = len(cp_times)
-        inf = float("inf")
 
         cp_free, cp_ready, cp_events, makespan, seq, cp_events_done = (
             self._checkpoints[ci]
@@ -582,57 +641,17 @@ class IncrementalSimulator:
         events = cp_events.copy()
         seq0 = seq
         in_flight0 = len(events)
-        # Reconvergence tests start at the *next* checkpoint: at the
-        # restore point the copied state trivially equals the base state
-        # even though the trial's successor arrays already diverge.
-        ci += 1
-        next_cp = cp_times[ci] if ci < n_cps else inf
+        # Completions processed so far are ``seq - len(events)`` plus a
+        # constant, so differences of that quantity count events.
+        # States this replay records, as (instant, sig, key, completions):
+        # their final makespans are known only when the replay ends.
+        recorded = []
+        next_record = 0
+        interval = self._memo_interval
+        hit: Optional[_MemoEntry] = None
         now = makespan
         while events:
             now = events[0][0]
-            # Reconvergence early-exit: once every swapped chain's
-            # leading stage has completed (``guard`` drained; always true
-            # for single swaps past the restore point), a trial state
-            # identical to the base state snapshotted at the same instant
-            # evolves identically forever — the answer is the base
-            # makespan and the tail need not be replayed.
-            if next_cp <= now:
-                while ci < n_cps and cp_times[ci] < now:
-                    ci += 1
-                if ci < n_cps and cp_times[ci] == now and not guard:
-                    bcp = self._checkpoints[ci]
-                    bready = bcp[1]
-                    if (
-                        free == bcp[0]
-                        and len(events) == len(bcp[2])
-                        and len(ready0) == len(bready[0])
-                        and len(ready1) == len(bready[1])
-                        and len(ready2) == len(bready[2])
-                        and len(ready3) == len(bready[3])
-                    ):
-                        key = self._state_key(ci)
-                        kready = key[1]
-                        if (
-                            frozenset(
-                                (end, packed & tid_mask)
-                                for end, packed in events
-                            )
-                            == key[0]
-                            and frozenset(ready3) == kready[3]
-                            and frozenset(ready2) == kready[2]
-                            and frozenset(ready1) == kready[1]
-                            and frozenset(ready0) == kready[0]
-                        ):
-                            if self.stats is not None:
-                                self.stats.events_replayed += (
-                                    in_flight0 + (seq - seq0) - len(events)
-                                )
-                                self.stats.events_reused += cp_events_done + (
-                                    self.base_events - bcp[5]
-                                )
-                            return self.base_makespan
-                    ci += 1
-                next_cp = cp_times[ci] if ci < n_cps else inf
             if guard:
                 while events and events[0][0] == now:
                     tid = heappop(events)[1] & tid_mask
@@ -645,6 +664,33 @@ class IncrementalSimulator:
                     if h2 is not None:
                         heappush(h2, (now, rk2))
             else:
+                # Every swapped stage has retired, so from here the run
+                # evolves on the base task graph alone: a state the
+                # memo already holds fixes the rest of the trajectory.
+                # Same-instant completions are drained before any
+                # dispatch, so any batch boundary is a valid state.
+                bucket = memo.get(now)
+                sig = key = None
+                if bucket is not None:
+                    sig = _state_sig(free, ready)
+                    for entry in bucket:
+                        if entry[0] != sig:
+                            continue
+                        if key is None:
+                            key = _state_key(events, ready)
+                        if (entry[1] or self._checkpoint_key(now)) == key:
+                            hit = entry
+                            break
+                    if hit is not None:
+                        break
+                done = seq - len(events)
+                if done >= next_record:
+                    next_record = done + interval
+                    if sig is None:
+                        sig = _state_sig(free, ready)
+                    if key is None:
+                        key = _state_key(events, ready)
+                    recorded.append((now, sig, key, done))
                 while events and events[0][0] == now:
                     tid = heappop(events)[1] & tid_mask
                     r, h1, rk1, h2, rk2 = post[tid]
@@ -685,10 +731,31 @@ class IncrementalSimulator:
                     seq += 1
                     heappush(events, (now + durations[tid], seq << tid_bits | tid))
                 free[3] = fr
-        if self.stats is not None:
-            self.stats.events_replayed += in_flight0 + (seq - seq0)
-            self.stats.events_reused += cp_events_done
-        # Batch times pop from the event heap in non-decreasing order,
-        # so the last one is the makespan (the checkpoint's running
-        # makespan is strictly below its own time, hence below ``now``).
-        return now if now > makespan else makespan
+        if hit is None:
+            # Batch times pop from the event heap in non-decreasing
+            # order, so the last one is the makespan (the checkpoint's
+            # running makespan is strictly below its own time, hence
+            # below ``now``).
+            final = now if now > makespan else makespan
+            remaining = 0
+        else:
+            _, _, final, remaining = hit
+        # File the recorded states under the answer; a hit's skipped
+        # tail counts as reused, like the restored prefix.
+        done = seq - len(events)
+        for at, sig, key, rec_done in recorded:
+            memo.setdefault(at, []).append(
+                (sig, key, final, done - rec_done + remaining)
+            )
+        stats = self.stats
+        if stats is not None:
+            stats.events_replayed += in_flight0 + (seq - seq0) - len(events)
+            stats.events_reused += cp_events_done + remaining
+            if hit is not None:
+                stats.suffix_hits += 1
+        return final
+
+    def _checkpoint_key(self, now: float) -> tuple:
+        """:func:`_state_key` of the base checkpoint taken at ``now``."""
+        cp = self._checkpoints[bisect_left(self._cp_times, now)]
+        return _state_key(cp[2], cp[1])

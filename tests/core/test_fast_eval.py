@@ -194,3 +194,29 @@ def test_repricing_identical_chains_needs_no_simulation():
     assert evaluator.stats.cache_hit_rate >= 0.3, evaluator.stats
     assert evaluator.stats.memo_hit_rate > 0.0
     assert evaluator.stats.cache_hit_rate >= evaluator.stats.memo_hit_rate
+
+
+#: Swap-replay completion events of the gpt2 gate job below before the
+#: incremental simulator's suffix memo existed (deterministic count).
+GPT2_REPLAYED_WITHOUT_MEMO = 264_273
+
+
+def test_suffix_memo_cuts_replayed_events_on_gpt2():
+    """Deterministic work gate for the suffix memo (DESIGN.md §5.2).
+
+    The memo changes how replays end, never what they return: the plan
+    stays pinned to the exact iteration time it had without the memo,
+    while the replayed events fall to at most 60% of that count.
+    """
+    job = JobConfig(
+        model=get_model("gpt2"),
+        gc=GCInfo("dgc", {"ratio": 0.01}),
+        system=SystemInfo(
+            cluster=nvlink_100g_cluster(num_machines=2, gpus_per_machine=4)
+        ),
+    )
+    result = Espresso(job).select_strategy()
+    stats = result.stats
+    assert result.iteration_time == 0.10442215770787006
+    assert stats.suffix_hits > 0
+    assert stats.events_replayed <= 0.6 * GPT2_REPLAYED_WITHOUT_MEMO, stats

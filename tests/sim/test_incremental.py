@@ -11,11 +11,13 @@ single and multi swaps and compare against the reference engine.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import simulate_makespan
+from repro.sim.engine import simulate, simulate_makespan
 from repro.sim.incremental import IncrementalSimulator
 from repro.sim.stages import (
     COMM,
@@ -48,19 +50,22 @@ sync_stage_st = st.builds(
 chain_tail_st = st.lists(sync_stage_st, min_size=0, max_size=5)
 
 
-@st.composite
-def jobs(draw):
-    """A base chain set plus replacement chains for a subset of them."""
-    num_chains = draw(st.integers(min_value=1, max_value=5))
+def _draw_chains(draw, min_chains, max_chains):
+    num_chains = draw(st.integers(min_value=min_chains, max_value=max_chains))
     chains = []
     for i in range(num_chains):
         head = compute_stage(draw(st.sampled_from(DURATIONS[1:])))
         chains.append(TensorChain(i, [head] + draw(chain_tail_st)))
+    return chains
+
+
+def _draw_replacements(draw, chains, max_swapped=5):
+    num_chains = len(chains)
     swap_indices = draw(
         st.lists(
             st.integers(min_value=0, max_value=num_chains - 1),
             min_size=1,
-            max_size=num_chains,
+            max_size=min(num_chains, max_swapped),
             unique=True,
         )
     )
@@ -73,9 +78,34 @@ def jobs(draw):
         keep = draw(st.integers(min_value=1, max_value=len(old)))
         tail = draw(chain_tail_st)
         replacements.append((index, old[:keep] + tail))
+    return replacements
+
+
+@st.composite
+def jobs(draw):
+    """A base chain set plus replacement chains for a subset of them."""
+    chains = _draw_chains(draw, 1, 5)
+    replacements = _draw_replacements(draw, chains)
     cpu_capacity = draw(st.sampled_from((1, 2, 4)))
     stride = draw(st.sampled_from((1, 2, 7, None)))
     return chains, replacements, cpu_capacity, stride
+
+
+def swap_sequences(min_chains, max_chains, max_swaps):
+    """A base chain set plus a sequence of replacement sets, all priced
+    on one simulator so its suffix memo accumulates across swaps."""
+
+    @st.composite
+    def build(draw):
+        chains = _draw_chains(draw, min_chains, max_chains)
+        swaps = [
+            _draw_replacements(draw, chains)
+            for _ in range(draw(st.integers(min_value=1, max_value=max_swaps)))
+        ]
+        cpu_capacity = draw(st.sampled_from((1, 2, 4)))
+        return chains, swaps, cpu_capacity
+
+    return build()
 
 
 def _swapped(chains, replacements):
@@ -134,6 +164,78 @@ def test_repeated_swaps_do_not_corrupt_the_base(job_a, job_b):
             _swapped(chains, batch), cpu_capacity=cpu_capacity
         )
         assert sim.swap_chains(batch) == expected
+
+
+def _swapped_stages(chains, replacements):
+    """Tensor -> first swapped stage index (the last stage shared with
+    the resident chain, whose successor changes), for every replacement
+    that is not a no-op — the simulator's own shared-prefix rule."""
+    swapped = {}
+    for index, stages in replacements:
+        old = chains[index].stages
+        m = 1
+        while (
+            m < min(len(old), len(stages))
+            and old[m].resource == stages[m].resource
+            and old[m].duration == stages[m].duration
+        ):
+            m += 1
+        if not m == len(old) == len(stages):
+            swapped[chains[index].tensor_index] = m - 1
+    return swapped
+
+
+def _check_memo_sequence(chains, swaps, cpu_capacity):
+    """Price every replacement set twice on one simulator and check the
+    suffix memo's contract: exact answers, a hit on the repeat whenever
+    the first replay ran past its swapped stages, and exact event
+    accounting (replayed + reused == the trial's task count)."""
+    stats = SimpleNamespace(
+        events_full=0, events_replayed=0, events_reused=0, suffix_hits=0
+    )
+    sim = IncrementalSimulator(chains, cpu_capacity=cpu_capacity, stats=stats)
+    for replacements in swaps:
+        trial = _swapped(chains, replacements)
+        expected = simulate_makespan(trial, cpu_capacity=cpu_capacity)
+        swapped = _swapped_stages(chains, replacements)
+        num_tasks = sum(len(c.stages) for c in trial) if swapped else 0
+        passes_swapped = False
+        if swapped:
+            stages = simulate(trial, cpu_capacity=cpu_capacity).stages
+            last = max(
+                s.end
+                for s in stages
+                if s.tensor_index in swapped
+                and s.stage_index >= swapped[s.tensor_index]
+            )
+            passes_swapped = any(s.end > last for s in stages)
+        for attempt in range(2):
+            hits = stats.suffix_hits
+            events = stats.events_replayed + stats.events_reused
+            assert sim.swap_chains(replacements) == expected
+            assert stats.events_replayed + stats.events_reused - events == (
+                num_tasks
+            )
+            if attempt == 1 and passes_swapped:
+                assert stats.suffix_hits == hits + 1
+    assert stats.events_full == sim.base_events
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_sequences(1, 5, 6))
+def test_suffix_memo_across_swap_sequences(job):
+    """The memo answers exactly, accumulates across swaps on one base,
+    and keeps the event accounting exact."""
+    _check_memo_sequence(*job)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None)
+@given(swap_sequences(20, 40, 8))
+def test_suffix_memo_across_swap_sequences_large(job):
+    """Larger jobs: replays run for many events past their swapped
+    stages, so recording skips batches between memo states."""
+    _check_memo_sequence(*job)
 
 
 def test_mid_instant_checkpoint_regression():

@@ -158,6 +158,31 @@ def test_plan_robust_cvar_objective(capsys):
     assert "Robust selection (cvar)" in out
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--fusion"], "--fusion"),
+        (["--save", "plan.json"], "--save"),
+        (["--load", "plan.json"], "--load"),
+        (["--ratios"], "--ratios"),
+        (["--ratios", "0.01,0.1"], "--ratios"),
+        (["--error-budget", "0"], "--error-budget"),
+        (["--error-budget", "0.2"], "--error-budget"),
+        (["--stats"], "--stats"),
+    ],
+)
+def test_plan_robust_refuses_unsupported_flags(extra, flag, capsys):
+    """``plan --robust`` used to drop these flags without a word; each is
+    now refused with exit 2 and a one-line diagnostic naming it."""
+    assert main([
+        "plan", "--model", "lstm", "--gc", "dgc", "--ratio", "0.01",
+        "--machines", "2", "--gpus", "4", "--robust", *extra,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any planning
+    assert captured.err == f"error: {flag} is not supported with --robust\n"
+
+
 # -- failure paths: bad config files exit 2 with a one-line message --------
 
 
