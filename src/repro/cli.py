@@ -210,7 +210,6 @@ def _print_stats(result) -> None:
             ("pruned by lower bound", f"{stats.batch_pruned:,} "
                                       f"({stats.batch_prune_rate:.1%})"),
             ("answered by dedup", f"{stats.batch_dedup_hits:,}"),
-            ("scalar fallbacks", f"{stats.batch_fallbacks:,}"),
         ]
         print(render_table(["batch pricing", "value"], batch_rows))
         print()
@@ -282,11 +281,24 @@ _NOT_WITH_ROBUST = (
 )
 
 
+#: ``plan`` flags only the robust selector reads, as (argparse dest,
+#: flag, default applied under ``--robust``).  They default to ``None``
+#: so that giving one without ``--robust`` is refused, not ignored.
+_ROBUST_ONLY = (
+    ("objective", "--objective", "worst"),
+    ("cvar_alpha", "--cvar-alpha", 0.25),
+    ("ensemble", "--ensemble", "default"),
+)
+
+
 def cmd_plan_robust(args: argparse.Namespace) -> int:
     for dest, flag in _NOT_WITH_ROBUST:
         value = getattr(args, dest)
         if value is not None and value is not False:
             raise CLIConfigError(f"{flag} is not supported with --robust")
+    for dest, _, default in _ROBUST_ONLY:
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     job = _build_job(args)
     ensemble = ensemble_by_name(args.ensemble)
     result = robust_select(
@@ -393,6 +405,9 @@ def cmd_plan_fusion(
 def cmd_plan(args: argparse.Namespace) -> int:
     if args.robust:
         return cmd_plan_robust(args)
+    for dest, flag, _ in _ROBUST_ONLY:
+        if getattr(args, dest) is not None:
+            raise CLIConfigError(f"{flag} requires --robust")
     job = _build_job(args)
     if args.save and not (args.fusion or args.load):
         raise CLIConfigError("--save requires --fusion")
@@ -980,13 +995,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="select by a robust objective over the fault "
                            "perturbation ensemble instead of the nominal "
                            "iteration time")
-    plan.add_argument("--objective", default="worst", choices=OBJECTIVES,
+    plan.add_argument("--objective", default=None, choices=OBJECTIVES,
                       help="robust objective: worst-case or CVaR makespan "
-                           "over the ensemble (with --robust)")
-    plan.add_argument("--cvar-alpha", type=float, default=0.25,
-                      help="tail fraction for the cvar objective")
-    plan.add_argument("--ensemble", default="default", choices=("default",),
-                      help="named perturbation ensemble (with --robust)")
+                           "over the ensemble (with --robust; default "
+                           "worst)")
+    plan.add_argument("--cvar-alpha", type=float, default=None,
+                      help="tail fraction for the cvar objective (with "
+                           "--robust; default 0.25)")
+    plan.add_argument("--ensemble", default=None, choices=("default",),
+                      help="named perturbation ensemble (with --robust; "
+                           "default 'default')")
     plan.set_defaults(func=cmd_plan)
 
     faults = sub.add_parser(

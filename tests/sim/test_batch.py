@@ -1,11 +1,10 @@
-"""Vectorized batch pricing layer (DESIGN.md §5.7).
+"""Batch candidate pricing (DESIGN.md §5.7).
 
-The contract under test: everything ``repro.sim.batch`` returns is
-bit-identical to the scalar engine — ``batch_swap_makespans`` equals a
-per-candidate ``swap_chains_flat`` loop float for float, the lower
-bounds never exceed the exact swapped makespan, and ``price_options``'s
-bound-driven pruning changes *which* candidates get exact times but
-never the batch winner, its time, or its ties.
+The contract under test: ``price_options`` returns times bit-identical
+to from-scratch simulation, the lower bounds of ``repro.sim.batch``
+never exceed the exact swapped makespan, and the bound-driven pruning
+changes *which* candidates get exact times but never the batch winner,
+its time, or its ties.
 """
 
 from __future__ import annotations
@@ -19,11 +18,7 @@ from repro.core.algorithm import device_candidate_options
 from repro.core.strategy import StrategyEvaluator
 from repro.models import synthetic_model
 from repro.sim import batch as batch_module
-from repro.sim.batch import (
-    batch_swap_makespans,
-    numpy_available,
-    suffix_lower_bounds,
-)
+from repro.sim.batch import batch_swap_makespans, suffix_lower_bounds
 from repro.utils.units import MB, MS
 
 OPTIONS = device_candidate_options()
@@ -87,36 +82,20 @@ def _unique_variants(evaluator, index):
 
 
 @pytest.mark.parametrize("job", _jobs(), ids=("nvlink", "pcie"))
-def test_batch_swap_equals_scalar_swaps(job):
-    """batch_swap_makespans == [swap_chains_flat(one) ...], exactly."""
-    evaluator, _ = _resident(job)
-    inc = evaluator._inc
+def test_price_options_unbounded_equals_full_simulation(job):
+    """Without a bound every candidate comes back exact: equal, float
+    for float, to a from-scratch simulation of the trial strategy —
+    including the candidates answered by a chain-identical sibling."""
+    evaluator, base = _resident(job)
+    reference = StrategyEvaluator(job, fast=False)
     for index in range(job.model.num_tensors):
-        variants = _unique_variants(evaluator, index)
+        times = evaluator.price_options(base, index, OPTIONS)
         expected = [
-            inc.swap_chains_flat([(index, res, dur)]) for res, dur in variants
+            reference.iteration_time_delta(base, index, option)
+            for option in OPTIONS
         ]
-        assert batch_swap_makespans(inc, index, variants) == expected
-
-
-def test_batch_swap_zero_duration_candidate_falls_back():
-    """A candidate with a zero-duration stage is re-priced through the
-    scalar replay (the fixed-order argument needs positive durations) —
-    and still returns the scalar float."""
-    evaluator, _ = _resident(_jobs()[0])
-    inc = evaluator._inc
-    index = 3
-    variants = [
-        (res, dur) for res, dur in _unique_variants(evaluator, index)
-        if len(res) > 1
-    ]
-    res, dur = variants[0]
-    zeroed = (list(res), [dur[0]] + [0.0] * (len(dur) - 1))
-    variants.append(zeroed)
-    expected = [
-        inc.swap_chains_flat([(index, r, d)]) for r, d in variants
-    ]
-    assert batch_swap_makespans(inc, index, variants) == expected
+        assert times == expected, index
+    assert evaluator.stats.batch_dedup_hits > 0
 
 
 def test_batch_swap_validation_matches_scalar():
@@ -140,8 +119,6 @@ def test_batch_swap_validation_matches_scalar():
 @pytest.mark.parametrize("job", _jobs(), ids=("nvlink", "pcie"))
 def test_suffix_lower_bounds_are_sound(job):
     """Every lower bound <= the exact swapped makespan."""
-    if not numpy_available():
-        pytest.skip("numpy unavailable: no bounds to test")
     evaluator, _ = _resident(job)
     inc = evaluator._inc
     for index in range(job.model.num_tensors):
@@ -196,43 +173,35 @@ def test_price_options_stats_accounting():
     assert stats.batch_candidates == stats_before[1] + len(OPTIONS)
     assert 0 <= stats.batch_pruned <= stats.batch_candidates
     assert 0 <= stats.batch_prune_rate <= 1.0
-    assert stats.batch_fallbacks == 0  # bounded path never runs the walk
 
 
-def _select(job, monkeypatch=None, vectorized=True):
-    if not vectorized:
-        monkeypatch.setattr(batch_module, "_np", None)
-    result = Espresso(job).select_strategy()
-    return result
-
-
-def test_planner_stats_consistent_scalar_vs_vectorized(monkeypatch):
-    """select_strategy() with numpy masked out (pure scalar pricing)
-    makes bit-identical decisions, and the batch counters describe the
-    same candidate stream; only pruning differs (no numpy, no bounds)."""
+def test_planner_identical_with_pruning_disabled(monkeypatch):
+    """select_strategy() with lower-bound pruning disabled (every bound
+    -inf: trivially sound, prunes nothing) makes bit-identical decisions,
+    and the batch counters describe the same candidate stream."""
     job = _jobs()[0]
-    fast = _select(job)
+    pruned = Espresso(job).select_strategy()
     with monkeypatch.context() as patch:
-        scalar = _select(job, patch, vectorized=False)
-    assert scalar.strategy.options == fast.strategy.options
-    assert scalar.iteration_time == fast.iteration_time
-    s_fast, s_scalar = fast.stats, scalar.stats
+        patch.setattr(
+            batch_module,
+            "suffix_lower_bounds",
+            lambda sim, index, variants: [float("-inf")] * len(variants),
+        )
+        exhaustive = Espresso(job).select_strategy()
+    assert exhaustive.strategy.options == pruned.strategy.options
+    assert exhaustive.iteration_time == pruned.iteration_time
+    s_pruned, s_full = pruned.stats, exhaustive.stats
     # Identical candidate stream in: same pricing calls, same F(S)
     # volume.  (Dedup and memo hits legitimately shift between the two
-    # runs — the scalar run memoizes candidates the vectorized run
-    # prunes, so later duplicates hit the memo before the per-call
+    # runs — the exhaustive run memoizes candidates the pruned run
+    # skips, so later duplicates hit the memo before the per-call
     # dedup map; only the *sum of ways a candidate avoids simulation*
     # is comparable, and the plan equality above is the real contract.)
-    assert s_scalar.batch_calls == s_fast.batch_calls
-    assert s_scalar.batch_candidates == s_fast.batch_candidates
-    assert s_scalar.fs_calls == s_fast.fs_calls
-    # Without numpy there are no bounds, hence no pruning — and the
-    # planner's bounded path never engages the batch walk, hence no
-    # order-divergence fallbacks on either side.
-    assert s_scalar.batch_pruned == 0
-    assert s_scalar.batch_fallbacks == 0
-    assert s_fast.batch_fallbacks == 0
-    for stats in (s_fast, s_scalar):
+    assert s_full.batch_calls == s_pruned.batch_calls
+    assert s_full.batch_candidates == s_pruned.batch_candidates
+    assert s_full.fs_calls == s_pruned.fs_calls
+    assert s_full.batch_pruned == 0
+    for stats in (s_pruned, s_full):
         assert 0.0 <= stats.cache_hit_rate <= 1.0
         assert 0.0 <= stats.prefix_reuse_fraction <= 1.0
         assert stats.batch_pruned + stats.batch_dedup_hits <= (

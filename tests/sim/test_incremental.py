@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import simulate, simulate_makespan
-from repro.sim.incremental import IncrementalSimulator
+from repro.sim.incremental import _MAX_STAGES, IncrementalSimulator
 from repro.sim.stages import (
     COMM,
     CPU,
@@ -297,7 +297,14 @@ def test_swap_validation_errors():
         )
     with pytest.raises(ValueError, match="at least one stage"):
         sim.swap_chain(0, [])
+    with pytest.raises(ValueError, match="more than"):
+        sim.swap_chain(
+            0,
+            [compute_stage(1.0)] + [_sync_stage(INTER, 2.0)] * _MAX_STAGES,
+        )
     # The leading compute stage is pinned: a swap may only change the
     # synchronization tail (the planner never changes backprop).
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leading compute stage"):
         sim.swap_chain(0, [compute_stage(9.0)])
+    with pytest.raises(ValueError, match="leading compute stage"):
+        sim.swap_chain(0, [_sync_stage(CPU, 1.0), _sync_stage(INTER, 2.0)])

@@ -183,6 +183,27 @@ def test_plan_robust_refuses_unsupported_flags(extra, flag, capsys):
     assert captured.err == f"error: {flag} is not supported with --robust\n"
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--objective", "cvar"], "--objective"),
+        (["--objective", "worst"], "--objective"),
+        (["--cvar-alpha", "0.5"], "--cvar-alpha"),
+        (["--ensemble", "default"], "--ensemble"),
+    ],
+)
+def test_plan_refuses_robust_only_flags_without_robust(extra, flag, capsys):
+    """Without ``--robust`` these flags used to be dropped without a
+    word; each is now refused with exit 2 and a one-line diagnostic."""
+    assert main([
+        "plan", "--model", "lstm", "--gc", "dgc", "--ratio", "0.01",
+        "--machines", "2", "--gpus", "4", *extra,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any planning
+    assert captured.err == f"error: {flag} requires --robust\n"
+
+
 # -- failure paths: bad config files exit 2 with a one-line message --------
 
 
