@@ -89,9 +89,11 @@ echo "== ratio equivalence: laddered plans vs fixed ratio (portfolio + battery) 
 # The ratio ladder never loses to the fixed-ratio planner on any zoo
 # model, laddered timelines pass the unmodified invariant battery +
 # differential oracle, the adaptive controller replans within budget,
-# and plan --ratios --check stays conformant.
+# and plan --ratios --check stays conformant.  The compile-equivalence
+# file sweeps every zoo tensor size x all laddered candidates through
+# the recipe compiler against the per-action reference walk.
 run_phase python -m pytest -q -m '' tests/core/test_ratio.py \
-    tests/training/test_adaptive.py
+    tests/core/test_plan_properties.py tests/training/test_adaptive.py
 run_phase python -m repro plan --model vgg16 --gc dgc --ratio 0.01 \
     --machines 2 --gpus 4 --ratios --error-budget 0.9 --check \
     | grep "conformance:"

@@ -3,8 +3,9 @@
 
 Perf PRs should start from data, not guesses: this prints the top-N
 functions by cumulative and by self time for one full
-``Espresso.select_strategy()`` run, plus the evaluator's own counters
-(simulations, batch prunes, dedup hits, memo hits) so algorithmic wins
+``Espresso.select_strategy()`` run, plus the evaluator's and the stage
+compiler's own counters (simulations, batch prunes, dedup hits, memo
+hits, chains materialized, prefilter cost walks) so algorithmic wins
 and constant-factor wins can be told apart.
 
 Usage::
@@ -85,6 +86,11 @@ def main(argv=None) -> int:
         f"events replayed {stats.events_replayed}, reused "
         f"{stats.events_reused}, replays ended by suffix memo "
         f"{stats.suffix_hits}"
+    )
+    compiler = result.compiler_stats
+    print(
+        f"compiler: {compiler.recipes} recipes, {compiler.chains} stage "
+        f"chains materialized, {compiler.cost_walks} prefilter cost walks"
     )
 
     sorts = (args.sort,) if args.sort else ("cumulative", "tottime")

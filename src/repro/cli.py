@@ -213,6 +213,15 @@ def _print_stats(result) -> None:
         ]
         print(render_table(["batch pricing", "value"], batch_rows))
         print()
+    compiler = result.compiler_stats
+    if compiler is not None:
+        compiler_rows = [
+            ("option recipes built", f"{compiler.recipes:,}"),
+            ("stage chains materialized", f"{compiler.chains:,}"),
+            ("prefilter cost walks", f"{compiler.cost_walks:,}"),
+        ]
+        print(render_table(["compiler", "value"], compiler_rows))
+        print()
     if stats.parallel_requested > 1:
         worker_rows = [
             ("requested width", f"{stats.parallel_requested}"),
@@ -629,6 +638,17 @@ def _parse_tenant(value: str, index: int) -> TenantSpec:
         raise CLIConfigError(f"tenant #{index}: {error}") from None
 
 
+#: ``fleet`` flags that shape an inline ``--tenant`` fleet's shared
+#: cluster, as (argparse dest, flag, default).  They default to ``None``
+#: so that giving one with ``--mix``/``--config`` — whose fleets carry
+#: their own cluster — is refused, not ignored.
+_TENANT_CLUSTER = (
+    ("testbed", "--testbed", "nvlink"),
+    ("machines", "--machines", 2),
+    ("gpus", "--gpus", 2),
+)
+
+
 def _build_fleet(args: argparse.Namespace) -> FleetSpec:
     given = sum(
         1 for flag in (args.config, args.mix, args.tenant) if flag
@@ -638,6 +658,11 @@ def _build_fleet(args: argparse.Namespace) -> FleetSpec:
             "give exactly one of --config, --mix, or --tenant ... "
             "(they are alternative fleet sources)"
         )
+    for dest, flag, default in _TENANT_CLUSTER:
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif not args.tenant:
+            raise CLIConfigError(f"{flag} only applies to --tenant fleets")
     if args.config:
         return _load_config(load_fleet, args.config, "fleet")
     if args.mix:
@@ -1066,11 +1091,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inline tenant (repeatable); pairs with "
                             "--testbed/--machines/--gpus for the shared "
                             "cluster")
-    fleet.add_argument("--testbed", default="nvlink",
-                       choices=("nvlink", "pcie"))
-    fleet.add_argument("--machines", type=int, default=2)
-    fleet.add_argument("--gpus", type=int, default=2,
-                       help="GPUs per machine")
+    fleet.add_argument("--testbed", default=None,
+                       choices=("nvlink", "pcie"),
+                       help="shared cluster of --tenant fleets "
+                            "(default nvlink)")
+    fleet.add_argument("--machines", type=int, default=None,
+                       help="machines of --tenant fleets (default 2)")
+    fleet.add_argument("--gpus", type=int, default=None,
+                       help="GPUs per machine of --tenant fleets "
+                            "(default 2)")
     fleet.add_argument("--max-rounds", type=int, default=6,
                        help="fixed-point iterations before the CVaR "
                             "fallback against the observed contention "

@@ -29,7 +29,6 @@ from repro.core.parallel import EvaluatorPool, best_priced, price_candidates
 from repro.core.plan import PlanCompiler
 from repro.core.strategy import CompressionStrategy, StrategyEvaluator
 from repro.core.tree import enumerate_options
-from repro.sim.stages import COMM
 
 #: Unified improvement threshold for GetBestOption and the refinement
 #: sweep.  Algorithm 1 used to accept any strictly smaller time while
@@ -179,15 +178,17 @@ def prefilter_candidates(
     time (both kept, because a CPU option's larger total can still win
     through overlap).  ``per_device=0`` disables filtering — the exact,
     paper-sized search.
+
+    The two sums come from :meth:`PlanCompiler.stage_costs`, so ranking
+    builds no ``Stage`` chain: only survivors that a strategy actually
+    assigns are ever materialized (DESIGN.md §5.12).
     """
     if per_device <= 0:
         return list(candidates)
     by_device: dict = {}
     for option in candidates:
         device = "cpu" if option.uses_device(Device.CPU) else "gpu"
-        stages = compiler.stages(option, num_elements)
-        comm = sum(s.duration for s in stages if s.kind == COMM)
-        total = sum(s.duration for s in stages)
+        comm, total = compiler.stage_costs(option, num_elements)
         by_device.setdefault(device, []).append((comm, total, option))
     kept: List[CompressionOption] = []
     seen: set = set()

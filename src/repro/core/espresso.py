@@ -31,6 +31,7 @@ from repro.core.options import (
     no_compression_option,
 )
 from repro.core.parallel import EvaluatorPool
+from repro.core.plan import CompilerStats
 from repro.core.presets import (
     double_compression_option,
     inter_allgather_option,
@@ -64,6 +65,10 @@ class EspressoResult:
     #: full vs incremental simulations, event prefix reuse.  Snapshot
     #: taken when selection finished (``plan --stats`` renders it).
     stats: Optional[EvaluatorStats] = None
+    #: The stage compiler's deterministic work counts (recipes built,
+    #: ``Stage`` chains materialized, prefilter cost walks), snapshot
+    #: taken with ``stats``.
+    compiler_stats: Optional[CompilerStats] = None
     #: True when the per-tensor ratio ladder was searched.
     ratio_laddered: bool = False
     #: Iteration time of the fixed-ratio pipeline when the ladder ran —
@@ -463,6 +468,7 @@ class Espresso:
             refinement_sweeps_run=chosen.sweeps_run,
             portfolio_seeded=chosen.portfolio_seeded,
             stats=self.evaluator.stats.snapshot(),
+            compiler_stats=self.evaluator.compiler.stats.snapshot(),
             ratio_laddered=self.ratio_laddered,
             fixed_ratio_iteration_time=(
                 fixed.iteration_time if fixed is not None else None

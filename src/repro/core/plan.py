@@ -21,20 +21,26 @@ Payload-state rules (one representative GPU):
 * Flat collectives span all ``P = N x k`` GPUs; they occupy the
   inter-machine link with an effective per-GPU bandwidth of the NIC
   bandwidth divided by ``k`` (the machine's GPUs share the NIC).
+
+Only the dense region size depends on the tensor size; everything else
+the walk tracks (compressed or not, pending pieces, the NIC multiplier,
+which link and time model prices each action) is fixed by the option and
+the cluster.  The compiler therefore walks each option once into a
+*recipe* of size-parametric steps and evaluates the recipe per size
+(DESIGN.md §5.12).
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 from repro.cluster.topology import ClusterSpec
 from repro.comm.routines import LinkParams, Routine, routine_time
 from repro.compression.base import FP32_BYTES, Compressor
 from repro.core.options import (
-    Action,
     ActionTask,
     CompressionOption,
     Device,
@@ -68,18 +74,52 @@ _ROUTINE_MAP = {
 
 #: Routines that divide the dense region across participants.
 _DIVIDING = (RoutineName.REDUCE_SCATTER, RoutineName.ALLTOALL)
-#: Routines that concentrate the payload on a root.
-_ROOTED = (RoutineName.REDUCE, RoutineName.GATHER, RoutineName.BROADCAST)
+
+_DEVICE_KINDS = {
+    ActionTask.COMP: COMPRESS,
+    ActionTask.DECOMP: DECOMPRESS,
+    ActionTask.AGG: AGGREGATE,
+}
+
+#: Recipe step opcodes.  ``(_DIVIDE, p)`` / ``(_MULTIPLY, p)`` update the
+#: dense region; ``(_DEVICE, time_fn, pieces)`` and ``(_COMM, routine,
+#: link, pieces, multiplier, nbytes_fn)`` each price one stage.
+_DIVIDE, _MULTIPLY, _DEVICE, _COMM = range(4)
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """The size-independent part of one option's compile walk.
+
+    ``steps`` are the walk's size-dependent float operations in order;
+    ``stages`` holds the (resource, kind, label) of every stage a step
+    prices, aligned with the durations :meth:`PlanCompiler._durations`
+    returns, and ``comm_positions`` indexes the COMM ones.
+    """
+
+    steps: Tuple[tuple, ...]
+    stages: Tuple[Tuple[str, str, str], ...]
+    comm_positions: Tuple[int, ...]
 
 
 @dataclass
-class _PayloadState:
-    """Mutable payload bookkeeping while walking an option."""
+class CompilerStats:
+    """Deterministic work counts of one :class:`PlanCompiler`.
 
-    region_elements: float  # dense elements this GPU is responsible for
-    compressed: bool = False
-    pieces: int = 1  # identical-region compressed pieces awaiting agg
-    machine_multiplier: int = 1  # active GPUs per machine on the NIC
+    Attributes:
+        recipes: recipes built — at most one per option value.
+        chains: ``Stage`` lists materialized by :meth:`PlanCompiler.stages`
+            (cache misses; a hit builds nothing).
+        cost_walks: :meth:`PlanCompiler.stage_costs` evaluations, which
+            price a recipe without building any ``Stage``.
+    """
+
+    recipes: int = 0
+    chains: int = 0
+    cost_walks: int = 0
+
+    def snapshot(self) -> "CompilerStats":
+        return replace(self)
 
 
 class PlanCompiler:
@@ -98,11 +138,15 @@ class PlanCompiler:
             Device.GPU: CompressionTimeModel(gpu, compressor.work_factor),
             Device.CPU: CompressionTimeModel(cpu, compressor.work_factor),
         }
+        self._links = {phase: self._link(phase) for phase in Phase}
         self._cache: Dict[Tuple[int, int], List[Stage]] = {}
+        #: Canonical option key -> recipe, built on first use.
+        self._recipes: Dict[int, _Recipe] = {}
         #: Ratio-pinned shallow copies of ``compressor``, one per ladder
         #: ratio the planner prices.  ``work_factor`` is ratio-independent
         #: for every registered algorithm, so the time models stay shared.
         self._ratio_variants: Dict[float, Compressor] = {}
+        self.stats = CompilerStats()
 
     # -- public API ------------------------------------------------------
 
@@ -140,158 +184,171 @@ class PlanCompiler:
         key = (canonical_key(option), num_elements)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._compile(option, num_elements)
+            self.stats.chains += 1
+            recipe = self._recipe(option)
+            cached = [
+                Stage(resource=resource, duration=duration, kind=kind, label=label)
+                for (resource, kind, label), duration in zip(
+                    recipe.stages, self._durations(recipe, num_elements)
+                )
+            ]
             self._cache[key] = cached
         return cached
 
+    def stage_costs(
+        self, option: CompressionOption, num_elements: int
+    ) -> Tuple[float, float]:
+        """(communication, total) seconds of ``option``'s stage chain.
+
+        Equal, float for float, to ``sum`` over the COMM stages and over
+        all stages of :meth:`stages` — the same durations summed in the
+        same order — without building (or caching) any ``Stage``.
+        """
+        if num_elements < 1:
+            raise ValueError(f"num_elements must be >= 1, got {num_elements}")
+        self.stats.cost_walks += 1
+        recipe = self._recipe(option)
+        durations = self._durations(recipe, num_elements)
+        comm = sum([durations[i] for i in recipe.comm_positions])
+        return comm, sum(durations)
+
     # -- compilation -----------------------------------------------------
 
-    def _wire_bytes(
-        self, state: _PayloadState, compressor: Optional[Compressor] = None
-    ) -> float:
-        """Current per-GPU payload bytes on the wire."""
-        if compressor is None:
-            compressor = self.compressor
-        elements = max(1, math.ceil(state.region_elements))
-        if state.compressed:
-            return float(
-                state.pieces * compressor.compressed_nbytes(elements)
-            )
-        return float(state.pieces * elements * FP32_BYTES)
-
-    def _link(self, phase: Phase) -> Tuple[str, LinkParams, int]:
-        """(resource, link params, participants) of a phase's collectives."""
+    def _link(self, phase: Phase) -> Tuple[str, LinkParams]:
+        """(resource, link params) of a phase's collectives."""
         cluster = self.cluster
         if phase in (Phase.INTRA1, Phase.INTRA2):
-            return (
-                INTRA,
-                LinkParams(
-                    cluster.gpus_per_machine, cluster.intra_bw, cluster.intra_latency
-                ),
-                cluster.gpus_per_machine,
+            return INTRA, LinkParams(
+                cluster.gpus_per_machine, cluster.intra_bw, cluster.intra_latency
             )
         if phase is Phase.INTER:
-            return (
-                INTER,
-                LinkParams(
-                    cluster.num_machines, cluster.inter_bw, cluster.inter_latency
-                ),
-                cluster.num_machines,
+            return INTER, LinkParams(
+                cluster.num_machines, cluster.inter_bw, cluster.inter_latency
             )
         # Flat: all GPUs in one collective; the NIC (shared by the
         # machine's GPUs) is the bottleneck link when machines > 1.
         if cluster.num_machines > 1:
             bandwidth = cluster.inter_bw / cluster.gpus_per_machine
-            return (
-                INTER,
-                LinkParams(cluster.total_gpus, bandwidth, cluster.inter_latency),
-                cluster.total_gpus,
+            return INTER, LinkParams(
+                cluster.total_gpus, bandwidth, cluster.inter_latency
             )
-        return (
-            INTRA,
-            LinkParams(cluster.total_gpus, cluster.intra_bw, cluster.intra_latency),
-            cluster.total_gpus,
+        return INTRA, LinkParams(
+            cluster.total_gpus, cluster.intra_bw, cluster.intra_latency
         )
 
-    def _comm_stage(
-        self,
-        action: Action,
-        state: _PayloadState,
-        compressor: Optional[Compressor] = None,
-    ) -> Tuple[Stage, int]:
-        """Price one collective and return (stage, participants)."""
-        resource, link, participants = self._link(action.phase)
-        payload = self._wire_bytes(state, compressor)
-        if action.phase is Phase.INTER:
-            payload *= state.machine_multiplier
-        duration = routine_time(_ROUTINE_MAP[action.routine], payload, link)
-        stage = Stage(
-            resource=resource,
-            duration=duration,
-            kind=COMM,
-            label=action.describe(),
-        )
-        return stage, participants
+    def _recipe(self, option: CompressionOption) -> _Recipe:
+        key = canonical_key(option)
+        recipe = self._recipes.get(key)
+        if recipe is None:
+            recipe = self._build_recipe(option)
+            self._recipes[key] = recipe
+        return recipe
 
-    def _device_stage(
-        self, action: Action, state: _PayloadState
-    ) -> Stage:
-        """Price a COMP/DECOMP/AGG micro-task."""
-        model = self._models[action.device]
-        resource = GPU if action.device is Device.GPU else CPU
-        elements = max(1, math.ceil(state.region_elements))
-        dense_bytes = elements * FP32_BYTES
-        if action.task is ActionTask.COMP:
-            duration = model.compress_time(dense_bytes)
-        elif action.task is ActionTask.DECOMP:
-            duration = model.decompress_time(state.pieces * dense_bytes)
-        else:  # AGG
-            duration = model.aggregate_time(state.pieces * dense_bytes)
-        kind = {
-            ActionTask.COMP: COMPRESS,
-            ActionTask.DECOMP: DECOMPRESS,
-            ActionTask.AGG: AGGREGATE,
-        }[action.task]
-        return Stage(
-            resource=resource, duration=duration, kind=kind, label=action.describe()
-        )
-
-    def _compile(self, option: CompressionOption, num_elements: int) -> List[Stage]:
-        cluster = self.cluster
-        if not cluster.is_distributed:
-            return []
-        stages: List[Stage] = []
-        state = _PayloadState(region_elements=float(num_elements))
+    def _build_recipe(self, option: CompressionOption) -> _Recipe:
+        """Walk ``option``'s actions once, freezing everything but the
+        dense region's size into steps."""
+        self.stats.recipes += 1
+        if not self.cluster.is_distributed:
+            return _Recipe((), (), ())
+        steps: List[tuple] = []
+        stages: List[Tuple[str, str, str]] = []
+        comm_positions: List[int] = []
         compressor = self.compressor_for(option)
+        compressed = False
+        pieces = 1  # identical-region compressed pieces awaiting agg
+        multiplier = 1  # active GPUs per machine on the NIC
         for action in option.actions:
-            if action.task is ActionTask.COMP:
-                stages.append(self._device_stage(action, state))
-                state.compressed = True
-            elif action.task is ActionTask.DECOMP:
-                stages.append(self._device_stage(action, state))
-                state.compressed = False
-            elif action.task is ActionTask.AGG:
-                stages.append(self._device_stage(action, state))
-                state.pieces = 1
+            task = action.task
+            if task in _DEVICE_KINDS:
+                model = self._models[action.device]
+                if task is ActionTask.COMP:
+                    steps.append((_DEVICE, model.compress_time, 1))
+                    compressed = True
+                elif task is ActionTask.DECOMP:
+                    steps.append((_DEVICE, model.decompress_time, pieces))
+                    compressed = False
+                else:  # AGG
+                    steps.append((_DEVICE, model.aggregate_time, pieces))
+                    pieces = 1
+                resource = GPU if action.device is Device.GPU else CPU
+                stages.append((resource, _DEVICE_KINDS[task], action.describe()))
+                continue
+            resource, link = self._links[action.phase]
+            participants = link.participants
+            if participants <= 1:
+                # A lone participant talks to nobody: routine_time is
+                # exactly 0, so no stage and no payload change.
+                continue
+            routine = action.routine
+            comm_positions.append(len(stages))
+            stages.append((resource, COMM, action.describe()))
+            steps.append((
+                _COMM,
+                _ROUTINE_MAP[routine],
+                link,
+                pieces,
+                multiplier if action.phase is Phase.INTER else 1,
+                compressor.compressed_nbytes if compressed else None,
+            ))
+            if action.phase is Phase.INTRA1:
+                # The intra phase decides how the machine's payload
+                # reaches the NIC: divided across all k GPUs, or rooted
+                # on one.
+                multiplier = (
+                    self.cluster.gpus_per_machine if routine in _DIVIDING else 1
+                )
+            if task in (ActionTask.COMM1, ActionTask.COMM2, ActionTask.COMM):
+                # Dense collectives aggregate in-network (associative ops).
+                if routine is RoutineName.REDUCE_SCATTER:
+                    steps.append((_DIVIDE, participants))
+                elif routine is RoutineName.ALLGATHER:
+                    steps.append((_MULTIPLY, participants))
+                # Allreduce / Reduce / Broadcast leave the region unchanged.
+            elif task in (ActionTask.COMM_C, ActionTask.COMM1_C):
+                # First-step (or indivisible) compressed collectives
+                # deliver `participants` compressed pieces to decompress
+                # + aggregate.
+                if routine is RoutineName.ALLTOALL:
+                    steps.append((_DIVIDE, participants))
+                pieces *= participants
+            elif task is ActionTask.COMM2_C:
+                # Second-step compressed collectives concatenate distinct
+                # regions (Allgather) or replicate the root's (Broadcast).
+                if routine is RoutineName.ALLGATHER:
+                    steps.append((_MULTIPLY, participants))
             else:
-                stage, participants = self._comm_stage(action, state, compressor)
-                if stage.duration > 0.0:
-                    stages.append(stage)
-                self._apply_comm(action, state, participants)
-        return stages
+                raise AssertionError(f"unhandled comm action {action!r}")
+        return _Recipe(tuple(steps), tuple(stages), tuple(comm_positions))
 
-    def _apply_comm(
-        self, action: Action, state: _PayloadState, participants: int
-    ) -> None:
-        """Update payload state after a collective."""
-        routine = action.routine
-        if participants <= 1:
-            return
-        if action.phase is Phase.INTRA1:
-            # The intra phase decides how the machine's payload reaches
-            # the NIC: divided across all k GPUs, or rooted on one.
-            state.machine_multiplier = (
-                self.cluster.gpus_per_machine if routine in _DIVIDING else 1
-            )
-        if action.task in (ActionTask.COMM1, ActionTask.COMM2, ActionTask.COMM):
-            # Dense collectives aggregate in-network (associative ops).
-            if routine is RoutineName.REDUCE_SCATTER:
-                state.region_elements /= participants
-            elif routine is RoutineName.ALLGATHER:
-                state.region_elements *= participants
-            # Allreduce / Reduce / Broadcast leave the region unchanged.
-            return
-        if action.task in (ActionTask.COMM_C, ActionTask.COMM1_C):
-            # First-step (or indivisible) compressed collectives deliver
-            # `participants` compressed pieces to decompress + aggregate.
-            if routine is RoutineName.ALLTOALL:
-                state.region_elements /= participants
-            state.pieces *= participants
-            return
-        if action.task is ActionTask.COMM2_C:
-            # Second-step compressed collectives concatenate distinct
-            # regions (Allgather) or replicate the root's (Broadcast).
-            if routine is RoutineName.ALLGATHER:
-                state.region_elements *= participants
-            return
-        raise AssertionError(f"unhandled comm action {action!r}")
+    @staticmethod
+    def _durations(recipe: _Recipe, num_elements: int) -> List[float]:
+        """Evaluate ``recipe`` for one size: one duration per stage.
+
+        Only the float operations that depend on the size run here, in
+        the order the action walk performs them, so every duration is
+        bit-identical to pricing the actions one by one.
+        """
+        region = float(num_elements)  # dense elements this GPU handles
+        elements = max(1, math.ceil(region))
+        durations: List[float] = []
+        for step in recipe.steps:
+            op = step[0]
+            if op == _DIVIDE:
+                region /= step[1]
+                elements = max(1, math.ceil(region))
+                continue
+            if op == _MULTIPLY:
+                region *= step[1]
+                elements = max(1, math.ceil(region))
+                continue
+            if op == _DEVICE:
+                durations.append(step[1](step[2] * (elements * FP32_BYTES)))
+                continue
+            _, routine, link, pieces, multiplier, nbytes_fn = step
+            if nbytes_fn is None:
+                payload = float(pieces * elements * FP32_BYTES)
+            else:
+                payload = float(pieces * nbytes_fn(elements))
+            payload *= multiplier
+            durations.append(routine_time(routine, payload, link))
+        return durations

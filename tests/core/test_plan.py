@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.cluster import ClusterSpec, nvlink_100g_cluster, single_gpu
+from repro.cluster import ClusterSpec, nvlink_100g_cluster, pcie_25g_cluster, single_gpu
 from repro.compression import DGC, EFSignSGD, NoCompression
-from repro.core.options import Device, no_compression_option
+from repro.config import GCInfo, JobConfig, SystemInfo
+from repro.core.espresso import Espresso
+from repro.core.options import (
+    DEFAULT_RATIO_LADDER,
+    Device,
+    canonical_key,
+    no_compression_option,
+)
 from repro.core.plan import PlanCompiler
 from repro.core.presets import (
     double_compression_option,
@@ -12,6 +19,7 @@ from repro.core.presets import (
     inter_alltoall_option,
 )
 from repro.core.tree import enumerate_options
+from repro.models import get_model
 from repro.profiling import v100_gpu, xeon_cpu
 from repro.sim.stages import COMM, COMPRESS, CPU, DECOMPRESS, GPU, INTER, INTRA
 from repro.utils.units import MB
@@ -154,3 +162,78 @@ def test_quantizer_compresses_more_than_sparsifier_at_1pct():
         s.duration for s in sign.stages(option, ELEMENTS) if s.resource == INTER
     )
     assert dgc_inter < sign_inter
+
+
+def _laddered_vgg16_plan(monkeypatch):
+    """Plan laddered vgg16/randomk on PCIe 8 x 8, recording every
+    ``stages()`` request as (canonical key, size) -> option."""
+    requested = {}
+    original = PlanCompiler.stages
+
+    def stages(compiler, option, num_elements):
+        requested[(canonical_key(option), num_elements)] = option
+        return original(compiler, option, num_elements)
+
+    monkeypatch.setattr(PlanCompiler, "stages", stages)
+    job = JobConfig(
+        model=get_model("vgg16"),
+        gc=GCInfo("randomk", {"ratio": 0.01}),
+        system=SystemInfo(cluster=pcie_25g_cluster(8, 8)),
+    )
+    planner = Espresso(job, ratios=DEFAULT_RATIO_LADDER)
+    result = planner.select_strategy()
+    return job, planner, result, requested
+
+
+def test_compiler_work_counts_are_deterministic_and_bounded(monkeypatch):
+    """The prefilter ranks from recipe cost walks, so the only ``Stage``
+    chains a laddered plan materializes are prefilter survivors and the
+    chains of strategies the planner simulates (DESIGN.md §5.12)."""
+    job, planner, result, requested = _laddered_vgg16_plan(monkeypatch)
+    counts = result.compiler_stats
+    _, _, again, _ = _laddered_vgg16_plan(monkeypatch)
+    assert again.compiler_stats == counts
+    assert again.stats.fs_calls == result.stats.fs_calls
+
+    laddered, fixed = planner.prefilter, planner._fixed_prefilter
+    sizes = sorted({t.num_elements for t in job.model.tensors})
+    # Every prefilter ranking walked each candidate's recipe once per
+    # size, and each option value got one recipe.
+    assert counts.cost_walks == (
+        len(laddered.candidates) + len(fixed.candidates)
+    ) * len(sizes)
+    # One chain per distinct request: nothing else builds Stage lists.
+    assert counts.chains == len(requested)
+    assert counts.recipes == len(
+        {canonical_key(o) for o in laddered.candidates}
+        | {key for key, _ in requested}
+    )
+
+    survivors = {
+        (canonical_key(option), size)
+        for prefilter in (laddered, fixed)
+        for size in sizes
+        for option in prefilter.for_size(size)
+    }
+    # Strategy chains outside the survivors: FP32 and the portfolio
+    # presets, or Algorithm 2 moving a survivor's compression to CPU.
+    presets = {canonical_key(no_compression_option())} | {
+        canonical_key(builder(device))
+        for builder in (
+            inter_allgather_option,
+            inter_alltoall_option,
+            double_compression_option,
+        )
+        for device in (Device.GPU, Device.CPU)
+    }
+    offloaded = {
+        (canonical_key(option.with_device(Device.CPU)), size)
+        for prefilter in (laddered, fixed)
+        for size in sizes
+        for option in prefilter.for_size(size)
+    }
+    strategy = set(requested) - survivors
+    for key, size in strategy:
+        assert key in presets or (key, size) in offloaded, requested[key, size]
+    assert counts.chains <= len(survivors) + len(strategy)
+    assert counts.chains < len(laddered.candidates) * len(sizes) / 10

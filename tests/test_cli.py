@@ -449,6 +449,60 @@ def test_fleet_command_inline_tenants(capsys):
     assert "a:" in out and "b:" in out
 
 
+@pytest.mark.parametrize("source", ["mix", "config"])
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--testbed", "pcie"], "--testbed"),
+        (["--testbed", "nvlink"], "--testbed"),
+        (["--machines", "4"], "--machines"),
+        (["--gpus", "8"], "--gpus"),
+        (["--testbed", "pcie", "--machines", "4", "--gpus", "8"],
+         "--testbed"),
+    ],
+)
+def test_fleet_refuses_cluster_flags_without_tenants(
+    source, extra, flag, tmp_path, capsys
+):
+    """A ``--mix`` or ``--config`` fleet carries its own cluster; the
+    inline-tenant cluster flags used to be dropped without a word (the
+    lstm-pair plan printed "4 GPUs (nvlink)" whatever they said).  Each
+    is now refused with exit 2 and a one-line diagnostic naming it."""
+    from repro.cluster import nvlink_100g_cluster
+    from repro.cluster.tenancy import FleetSpec, TenantSpec, save_fleet
+
+    if source == "mix":
+        fleet_args = ["--mix", "lstm-pair"]
+    else:
+        save_fleet(
+            FleetSpec(
+                cluster=nvlink_100g_cluster(num_machines=2, gpus_per_machine=2),
+                tenants=(TenantSpec(name="a", model="lstm", gc="fp16"),),
+            ),
+            tmp_path / "fleet.json",
+        )
+        fleet_args = ["--config", str(tmp_path / "fleet.json")]
+    assert main(["fleet", *fleet_args, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any planning
+    assert captured.err == f"error: {flag} only applies to --tenant fleets\n"
+
+
+@pytest.mark.parametrize(
+    "extra, gpus, interconnect",
+    [
+        ([], 4, "nvlink"),  # nvlink, 2 machines x 2 GPUs by default
+        (["--testbed", "pcie"], 4, "pcie"),
+        (["--machines", "3"], 6, "nvlink"),
+        (["--gpus", "1"], 2, "nvlink"),
+    ],
+)
+def test_fleet_tenant_cluster_flags_apply(extra, gpus, interconnect, capsys):
+    assert main(["fleet", "--tenant", "a:lstm:fp16", *extra]) == 0
+    out = capsys.readouterr().out
+    assert f"sharing {gpus} GPUs ({interconnect})" in out
+
+
 def test_fleet_command_from_config(tmp_path, capsys):
     from repro.cluster import nvlink_100g_cluster
     from repro.cluster.tenancy import FleetSpec, TenantSpec, save_fleet
